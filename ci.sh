@@ -38,18 +38,18 @@ smoke_dir="target/ci-fleet-smoke"
 rm -rf "$smoke_dir"
 mkdir -p "$smoke_dir"
 smoke_args=(1 --hours 12,18 --minutes 2 --bench "$smoke_dir/BENCH_fleet.json")
-cargo run -q --release -p ch-bench --bin fig5 -- "${smoke_args[@]}" --jobs 1 \
+cargo run -q --release -p ch-bench --bin experiment -- fig5 "${smoke_args[@]}" --jobs 1 \
   --manifest "$smoke_dir/fleet_fig5_serial.jsonl" \
   > "$smoke_dir/run0.txt" 2> "$smoke_dir/run0.log"
 grep -q '8 executed, 0 cached, 0 failed' "$smoke_dir/run0.log"
-cargo run -q --release -p ch-bench --bin fig5 -- "${smoke_args[@]}" --jobs 2 \
+cargo run -q --release -p ch-bench --bin experiment -- fig5 "${smoke_args[@]}" --jobs 2 \
   --manifest "$smoke_dir/fleet_fig5.jsonl" \
   > "$smoke_dir/run1.txt" 2> "$smoke_dir/run1.log"
 grep -q '8 executed, 0 cached, 0 failed' "$smoke_dir/run1.log"
 cmp "$smoke_dir/run0.txt" "$smoke_dir/run1.txt"
 # The cached rerun skips the bench file so the fresh jobs=2 timing (and
 # its speedup annotation) survives as the latest slot.
-cargo run -q --release -p ch-bench --bin fig5 -- "${smoke_args[@]}" --jobs 2 \
+cargo run -q --release -p ch-bench --bin experiment -- fig5 "${smoke_args[@]}" --jobs 2 \
   --manifest "$smoke_dir/fleet_fig5.jsonl" --no-bench \
   > "$smoke_dir/run2.txt" 2> "$smoke_dir/run2.log"
 grep -q '0 executed, 8 cached, 0 failed' "$smoke_dir/run2.log"
@@ -121,15 +121,15 @@ echo "==> city smoke (sharded day: shard-count byte-identity + events/sec)"
 city_dir="target/ci-city-smoke"
 rm -rf "$city_dir"
 mkdir -p "$city_dir"
-cargo run -q --release -p ch-bench --bin city -- 1 --quick --shards 1 --jobs 1 \
+cargo run -q --release -p ch-bench --bin experiment -- city 1 --quick --shards 1 --jobs 1 \
   --bench "$city_dir/BENCH_city.json" \
   > "$city_dir/s1.txt" 2> "$city_dir/s1.log"
 for s in 4 16; do
-  cargo run -q --release -p ch-bench --bin city -- 1 --quick --shards "$s" \
+  cargo run -q --release -p ch-bench --bin experiment -- city 1 --quick --shards "$s" \
     --no-bench > "$city_dir/s$s.txt" 2> "$city_dir/s$s.log"
   cmp "$city_dir/s1.txt" "$city_dir/s$s.txt"
 done
-cargo run -q --release -p ch-bench --bin city -- 1 --quick --shards 4 --jobs 4 \
+cargo run -q --release -p ch-bench --bin experiment -- city 1 --quick --shards 4 --jobs 4 \
   --no-bench > "$city_dir/j4.txt" 2> "$city_dir/j4.log"
 cmp "$city_dir/s1.txt" "$city_dir/j4.txt"
 grep -q 'events/sec (wall-clock)' "$city_dir/s1.log"

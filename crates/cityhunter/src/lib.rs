@@ -13,8 +13,7 @@
 //! | [`phone`] | `ch-phone` | PNL generation, probing policies, auto-join logic |
 //! | [`arc`] | `ch-arc` | the ARC cache (the §IV-C design inspiration) + baselines |
 //! | [`attack`] | `ch-attack` | KARMA, MANA, preliminary & full City-Hunter |
-//! | [`defense`] | `ch-defense` | client/operator-side evil-twin detection |
-//! | [`detect`] | `ch-detect` | signature/behavior rogue-AP monitor + arms-race scoring |
+//! | [`detect`] | `ch-detect` | signature/behavior rogue-AP detection (client or in-venue) + arms-race scoring |
 //! | [`scenarios`] | `ch-scenarios` | experiment runner, metrics, table/figure drivers |
 //!
 //! ## Quickstart
@@ -39,14 +38,13 @@
 //! [`scenarios::experiments`], or from the command line:
 //!
 //! ```text
-//! cargo run --release -p ch-bench --bin table1   # … table2 table3 table4
-//! cargo run --release -p ch-bench --bin fig1     # … fig2 fig4 fig5 fig6
-//! cargo run --release -p ch-bench --bin ablation
+//! cargo run --release -p ch-bench --bin experiment -- table1   # … table2 table3 table4
+//! cargo run --release -p ch-bench --bin experiment -- fig1     # … fig2 fig4 fig5 fig6
+//! cargo run --release -p ch-bench --bin experiment -- ablation
 //! ```
 
 pub use ch_arc as arc;
 pub use ch_attack as attack;
-pub use ch_defense as defense;
 pub use ch_detect as detect;
 pub use ch_geo as geo;
 pub use ch_mobility as mobility;

@@ -11,7 +11,9 @@
 //! * **PNL replay** — an AP advertising an SSID some *other* client just
 //!   probed for, the MANA harvest-and-replay tell;
 //! * **implausible co-location** — one BSSID claiming to be dozens of
-//!   distinct networks.
+//!   distinct networks;
+//! * **deauth flood** — one source deauthenticating many distinct clients
+//!   in a window, the §V-B forced-rescan extension.
 //!
 //! When an AP's combined score crosses the active [`Strictness`] threshold
 //! the detector emits a scored [`DetectionVerdict`] (at most one per AP per
@@ -22,11 +24,21 @@
 
 use ch_sim::{det_hash_map, DetHashMap, SimDuration, SimTime};
 use ch_wifi::mac::MacAddr;
-use ch_wifi::mgmt::{Beacon, MgmtFrame, ProbeRequest, ProbeResponse};
+use ch_wifi::mgmt::{Beacon, Deauthentication, MgmtFrame, ProbeRequest, ProbeResponse};
 use ch_wifi::ssid::Ssid;
 
 use crate::signature::{SignatureDb, ROGUE_MINIMAL_IE};
 use crate::verdict::{DetectionVerdict, Reason};
+
+/// Distinct clients one source must deauthenticate inside one evidence
+/// window before the deauth-flood tell fires. A real AP drops an
+/// occasional client (idle timeout, load shedding); the §V-B attack
+/// sprays deauths across the room.
+const DEAUTH_FLOOD_VICTIMS: usize = 5;
+
+/// Points the deauth-flood tell contributes: enough to cross even the
+/// lenient threshold on its own.
+const DEAUTH_FLOOD_POINTS: u32 = 10;
 
 /// How aggressively the detector flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -171,6 +183,8 @@ pub struct ApProfile {
     pub bait_ssid: bool,
     /// A frame carried the karma-style minimal IE set.
     pub rogue_ie: bool,
+    /// Offered a network the signature DB lists as protected, open.
+    pub downgrade: bool,
     /// Probe responses transmitted.
     pub responses: u64,
     /// Beacons transmitted.
@@ -185,6 +199,8 @@ pub struct ApProfile {
     window_bait: ch_sim::DetHashSet<Ssid>,
     /// PNL-replay observations this window.
     window_replays: u32,
+    /// Distinct clients this source deauthenticated this window.
+    window_deauthed: ch_sim::DetHashSet<MacAddr>,
     /// A verdict was already emitted this window.
     window_flagged: bool,
 }
@@ -197,6 +213,7 @@ impl ApProfile {
             locally_administered,
             bait_ssid: false,
             rogue_ie: false,
+            downgrade: false,
             responses: 0,
             beacons: 0,
             beacon_interval_range: None,
@@ -204,6 +221,7 @@ impl ApProfile {
             window: 0,
             window_bait: ch_sim::det_hash_set(),
             window_replays: 0,
+            window_deauthed: ch_sim::det_hash_set(),
             window_flagged: false,
         }
     }
@@ -218,6 +236,7 @@ impl ApProfile {
             self.window = window;
             self.window_bait.clear();
             self.window_replays = 0;
+            self.window_deauthed.clear();
             self.window_flagged = false;
         }
     }
@@ -297,8 +316,9 @@ impl Detector {
             MgmtFrame::ProbeRequest(probe) => self.observe_probe(at, probe),
             MgmtFrame::ProbeResponse(response) => self.observe_response(at, response),
             MgmtFrame::Beacon(beacon) => self.observe_beacon(at, beacon),
-            // The auth/assoc/deauth legs carry no AP-fingerprinting signal
-            // this detector models; they still count as observed traffic.
+            MgmtFrame::Deauthentication(deauth) => self.observe_deauth(at, deauth),
+            // The auth/assoc legs carry no AP-fingerprinting signal this
+            // detector models; they still count as observed traffic.
             _ => {}
         }
     }
@@ -354,14 +374,13 @@ impl Detector {
             Some(&t) if at.saturating_since(t) <= self.params.broadcast_reply_window
         ) && !self.is_own_request(at, &response.ssid, response.destination);
         let bait_wording = self.db.matches_bait(&response.ssid);
-        let denylisted = self.db.oui_denylisted(response.bssid.oui());
-        let window = at.bucket(self.spec.window);
+        let downgrade = self
+            .db
+            .is_downgrade(&response.ssid, response.capabilities.privacy);
 
-        let profile = self.profiles.entry(response.bssid).or_insert_with(|| {
-            ApProfile::new(at, denylisted, response.bssid.is_locally_administered())
-        });
-        profile.roll_window(window);
+        let profile = self.profile_mut(at, response.bssid);
         profile.responses += 1;
+        profile.downgrade |= downgrade;
         profile.note_advertised(&response.ssid, bait_wording);
         if response.ie_fingerprint() == ROGUE_MINIMAL_IE {
             profile.rogue_ie = true;
@@ -380,20 +399,37 @@ impl Detector {
     fn observe_beacon(&mut self, at: SimTime, beacon: &Beacon) {
         let replay = self.is_replay(at, &beacon.ssid, beacon.bssid);
         let bait_wording = self.db.matches_bait(&beacon.ssid);
-        let denylisted = self.db.oui_denylisted(beacon.bssid.oui());
-        let window = at.bucket(self.spec.window);
+        let downgrade = self
+            .db
+            .is_downgrade(&beacon.ssid, beacon.capabilities.privacy);
 
-        let profile = self.profiles.entry(beacon.bssid).or_insert_with(|| {
-            ApProfile::new(at, denylisted, beacon.bssid.is_locally_administered())
-        });
-        profile.roll_window(window);
+        let profile = self.profile_mut(at, beacon.bssid);
         profile.beacons += 1;
+        profile.downgrade |= downgrade;
         profile.note_interval(beacon.interval_tu);
         profile.note_advertised(&beacon.ssid, bait_wording);
         if replay {
             profile.window_replays = profile.window_replays.saturating_add(1);
         }
         self.evaluate(at, beacon.bssid);
+    }
+
+    fn observe_deauth(&mut self, at: SimTime, deauth: &Deauthentication) {
+        let profile = self.profile_mut(at, deauth.source);
+        profile.window_deauthed.insert(deauth.destination);
+        self.evaluate(at, deauth.source);
+    }
+
+    /// The profile of `bssid`, created on its first frame and rolled to
+    /// the evidence window containing `at`.
+    fn profile_mut(&mut self, at: SimTime, bssid: MacAddr) -> &mut ApProfile {
+        let denylisted = self.db.oui_denylisted(bssid.oui());
+        let profile = self
+            .profiles
+            .entry(bssid)
+            .or_insert_with(|| ApProfile::new(at, denylisted, bssid.is_locally_administered()));
+        profile.roll_window(at.bucket(self.spec.window));
+        profile
     }
 
     fn evaluate(&mut self, at: SimTime, bssid: MacAddr) {
@@ -419,6 +455,10 @@ impl Detector {
         if profile.advertised.len() >= self.params.colocation_min {
             score += self.params.colocation_points;
             reasons.insert(Reason::ImplausibleCoLocation);
+        }
+        if profile.window_deauthed.len() >= DEAUTH_FLOOD_VICTIMS {
+            score += DEAUTH_FLOOD_POINTS;
+            reasons.insert(Reason::DeauthFlood);
         }
         if score >= threshold {
             profile.window_flagged = true;
@@ -478,6 +518,7 @@ impl Detector {
 mod tests {
     use super::*;
     use ch_wifi::channel::Channel;
+    use ch_wifi::mgmt::{CapabilityInfo, ReasonCode};
 
     fn ssid(s: &str) -> Ssid {
         Ssid::new(s).unwrap()
@@ -711,6 +752,147 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn downgrade_fires_only_on_remembered_protected() {
+        let db = SignatureDb {
+            protected_ssids: vec![ssid("Corp")],
+            ..SignatureDb::standard()
+        };
+        let mut detector =
+            Detector::with_db(DetectorSpec::standard(), db, BehaviorParams::default());
+        // An open network the client never knew as protected is fine, and
+        // so is a properly protected beacon of the remembered one.
+        detector.observe(t(1), &direct(client(1), "Open-Cafe"));
+        detector.observe(t(1), &response(legit(), client(1), "Open-Cafe"));
+        let mut protected = Beacon::open(legit(), ssid("Corp"), Channel::default());
+        protected.capabilities = CapabilityInfo::protected_ap();
+        detector.observe(t(2), &MgmtFrame::Beacon(protected));
+        assert!(detector.verdicts().is_empty());
+        // The remembered network offered open: flagged on that frame.
+        detector.observe(t(3), &direct(client(1), "Corp"));
+        detector.observe(t(3), &response(legit(), client(1), "Corp"));
+        assert_eq!(detector.first_flag(legit()), Some(t(3)));
+        assert!(detector.verdicts()[0]
+            .reasons
+            .contains(Reason::SecurityDowngrade));
+        // The stock database remembers nothing, so the same frame is not a
+        // downgrade there.
+        let mut stock = Detector::new(DetectorSpec::standard());
+        stock.observe(t(3), &direct(client(1), "Corp"));
+        stock.observe(t(3), &response(legit(), client(1), "Corp"));
+        assert!(!stock.profile(legit()).unwrap().downgrade);
+        assert!(stock.verdicts().is_empty());
+    }
+
+    fn deauth(source: u8, victim: u8) -> MgmtFrame {
+        MgmtFrame::Deauthentication(Deauthentication {
+            source: MacAddr::from_index([0x00, 0x90, 0x4c], u32::from(source)),
+            destination: client(victim),
+            reason: ReasonCode::PrevAuthExpired,
+        })
+    }
+
+    #[test]
+    fn deauth_flood_fires_at_its_threshold() {
+        let source = MacAddr::from_index([0x00, 0x90, 0x4c], 7);
+        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Lenient));
+        for victim in 1..DEAUTH_FLOOD_VICTIMS as u8 {
+            detector.observe(t(u64::from(victim) * 10), &deauth(7, victim));
+        }
+        assert!(!detector.is_flagged(source), "one victim short");
+        detector.observe(t(55), &deauth(7, 99));
+        assert_eq!(detector.first_flag(source), Some(t(55)));
+        let verdict = detector.verdicts()[0];
+        assert!(verdict.reasons.contains(Reason::DeauthFlood));
+        // One verdict per window, even on continued flooding.
+        detector.observe(t(58), &deauth(7, 100));
+        assert_eq!(detector.verdicts().len(), 1);
+    }
+
+    #[test]
+    fn deauth_flood_tolerates_occasional_deauths() {
+        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        // Five victims, one per minute: no window holds more than one.
+        for victim in 1..=5u8 {
+            detector.observe(t(u64::from(victim) * 60), &deauth(7, victim));
+        }
+        // One victim deauthenticated over and over is one victim.
+        for i in 0..20u64 {
+            detector.observe(t(400 + i), &deauth(7, 1));
+        }
+        assert!(detector.verdicts().is_empty());
+    }
+
+    #[test]
+    fn deauth_flood_tracks_sources_independently() {
+        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        for victim in 1..DEAUTH_FLOOD_VICTIMS as u8 {
+            detector.observe(t(u64::from(victim)), &deauth(7, victim));
+            detector.observe(t(u64::from(victim)), &deauth(8, victim));
+        }
+        assert!(detector.verdicts().is_empty(), "neither source crossed");
+    }
+
+    #[test]
+    fn colocation_ignores_repeats_of_one_ssid() {
+        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        for i in 0..50u64 {
+            detector.observe(t(i), &beacon(legit(), "SameNet"));
+        }
+        assert_eq!(detector.profile(legit()).unwrap().advertised_ssids(), 1);
+        assert!(detector.verdicts().is_empty());
+    }
+
+    /// A vendor-OUI AP answering its probers' own directed probes with 30
+    /// distinct SSIDs across three evidence windows, optionally beaconing.
+    fn multi_ssid_responder(beaconing: bool) -> Detector {
+        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        if beaconing {
+            detector.observe(t(0), &beacon(legit(), "Lobby"));
+        }
+        for i in 0..30u64 {
+            let name = format!("net-{i}");
+            detector.observe(t(i * 6), &direct(client(1), &name));
+            detector.observe(t(i * 6), &response(legit(), client(1), &name));
+        }
+        detector
+    }
+
+    #[test]
+    fn beaconing_evades_silent_responder_but_not_colocation() {
+        let silent = multi_ssid_responder(false)
+            .verdicts()
+            .last()
+            .unwrap()
+            .reasons;
+        assert!(silent.contains(Reason::SilentResponder));
+        assert!(silent.contains(Reason::ImplausibleCoLocation));
+        let beaconing = multi_ssid_responder(true)
+            .verdicts()
+            .last()
+            .unwrap()
+            .reasons;
+        assert!(!beaconing.contains(Reason::SilentResponder));
+        assert!(beaconing.contains(Reason::ImplausibleCoLocation));
+    }
+
+    #[test]
+    fn karma_invisible_without_direct_probes() {
+        let mut detector = Detector::new(DetectorSpec::standard());
+        // KARMA only echoes directed probes: a room that only broadcasts
+        // gives it nothing to transmit, so there is nothing to profile.
+        for i in 0..60u8 {
+            detector.observe(t(u64::from(i)), &broadcast(client(i)));
+        }
+        assert_eq!(detector.profiled_count(), 0);
+        // Echoing a prober's own open network is what a legitimate AP
+        // does: even the denylisted OUI stays under the threshold.
+        detector.observe(t(61), &direct(client(1), "HomeNet"));
+        detector.observe(t(61), &response(rogue(), client(1), "HomeNet"));
+        assert!(detector.profile(rogue()).is_some());
+        assert!(detector.verdicts().is_empty());
     }
 
     #[test]

@@ -20,13 +20,14 @@
 //!
 //! 1. **Signatures** ([`signature`]) — a declarative [`SignatureDb`] of
 //!    static tells: OUI denylists, locally-administered BSSIDs, bait SSID
-//!    wording, beacon-interval outliers, silent responders, and the
-//!    karma-style minimal IE fingerprint.
+//!    wording, beacon-interval outliers, silent responders, the
+//!    karma-style minimal IE fingerprint, and a network the client
+//!    remembers as protected offered open (the downgrade).
 //! 2. **Behavior** ([`detector`]) — windowed evidence accumulation keyed
 //!    on the City-Hunter tell (one AP answering broadcast probes with many
-//!    distinct directed SSIDs), MANA-style PNL replay, and implausible
-//!    SSID co-location, with a [`Strictness`] knob setting the flagging
-//!    threshold.
+//!    distinct directed SSIDs), MANA-style PNL replay, implausible SSID
+//!    co-location, and deauth floods, with a [`Strictness`] knob setting
+//!    the flagging threshold.
 //!
 //! The detector draws no randomness: its verdict stream is a pure function
 //! of the observed frame sequence, so detection composes with the
@@ -50,6 +51,7 @@
 //! ```
 
 pub mod detector;
+pub mod detectors;
 pub mod report;
 pub mod signature;
 pub mod verdict;

@@ -3,7 +3,9 @@
 //! Real rogue-AP monitors ship a list of *static* tells: vendor OUIs used
 //! by attack tooling, bait SSID wording, beacon intervals no stock firmware
 //! uses, and the minimal information-element set karma-style responders
-//! emit. Each [`SignatureRule`] scores one such tell against the running
+//! emit. A client-side detector adds the networks it remembers as
+//! protected: one offered open is the classic evil-twin downgrade. Each
+//! [`SignatureRule`] scores one such tell against the running
 //! [`ApProfile`](crate::detector::ApProfile) an observer accumulates per
 //! BSSID; the detector sums rule scores into the signature half of an AP's
 //! suspicion score.
@@ -97,6 +99,12 @@ pub enum SignatureRule {
         /// Weight added when the rule fires.
         weight: u32,
     },
+    /// The AP offered an SSID on the [`SignatureDb::protected_ssids`] list
+    /// without privacy.
+    SecurityDowngrade {
+        /// Weight added when the rule fires.
+        weight: u32,
+    },
 }
 
 impl SignatureRule {
@@ -109,6 +117,7 @@ impl SignatureRule {
             SignatureRule::BeaconIntervalOutside { .. } => Reason::OddBeaconInterval,
             SignatureRule::SilentResponder { .. } => Reason::SilentResponder,
             SignatureRule::RogueIeFingerprint { .. } => Reason::RogueIeFingerprint,
+            SignatureRule::SecurityDowngrade { .. } => Reason::SecurityDowngrade,
         }
     }
 
@@ -162,6 +171,13 @@ impl SignatureRule {
                     0
                 }
             }
+            SignatureRule::SecurityDowngrade { weight } => {
+                if profile.downgrade {
+                    weight
+                } else {
+                    0
+                }
+            }
         }
     }
 }
@@ -174,14 +190,17 @@ pub struct SignatureDb {
     pub oui_denylist: Vec<[u8; 3]>,
     /// Bait SSID wording.
     pub bait_patterns: Vec<SsidPattern>,
+    /// Networks the observing client remembers as protected. Empty for an
+    /// operator-side monitor, which knows no client's PNL.
+    pub protected_ssids: Vec<Ssid>,
     /// Active rules.
     pub rules: Vec<SignatureRule>,
 }
 
 impl SignatureDb {
     /// The stock database: the denylisted attack-tool OUI this workspace's
-    /// attackers mint their BSSIDs from, common free-WiFi bait wording, and
-    /// one rule per signature class.
+    /// attackers mint their BSSIDs from, common free-WiFi bait wording, no
+    /// protected networks, and one rule per signature class.
     pub fn standard() -> Self {
         SignatureDb {
             // 0x0a is masked to 0x08 on the wire by `MacAddr::from_index`.
@@ -192,6 +211,7 @@ impl SignatureDb {
                 SsidPattern::Contains("open wifi"),
                 SsidPattern::Prefix("freewifi"),
             ],
+            protected_ssids: Vec::new(),
             rules: vec![
                 SignatureRule::OuiDenylist { weight: 4 },
                 SignatureRule::LocallyAdministeredBssid { weight: 3 },
@@ -206,6 +226,8 @@ impl SignatureDb {
                     weight: 3,
                 },
                 SignatureRule::RogueIeFingerprint { weight: 1 },
+                // Conclusive on its own at the standard threshold.
+                SignatureRule::SecurityDowngrade { weight: 7 },
             ],
         }
     }
@@ -218,6 +240,12 @@ impl SignatureDb {
     /// `true` if `ssid` matches any bait pattern.
     pub fn matches_bait(&self, ssid: &Ssid) -> bool {
         self.bait_patterns.iter().any(|p| p.matches(ssid))
+    }
+
+    /// `true` if advertising `ssid` with `privacy` downgrades a network
+    /// the client remembers as protected.
+    pub fn is_downgrade(&self, ssid: &Ssid, privacy: bool) -> bool {
+        !privacy && self.protected_ssids.contains(ssid)
     }
 
     /// `true` if `bssid` trips either MAC-level signature.

@@ -296,12 +296,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so any
-                // multi-byte sequence is well-formed).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one piece.
+                // Both are ASCII, so the run ends on a character boundary,
+                // and validating only the run keeps parsing linear.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|b| !matches!(b, b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -430,6 +433,7 @@ mod tests {
         assert!(Json::parse("  { \"a\" : [ 1 , 2 ] }\n").is_ok());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("{\"a\"").is_err());
+        assert!(Json::parse("\"unterminated 漢字").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1e999").is_err(), "non-finite rejected");

@@ -174,7 +174,7 @@ impl ArmsRaceOutcome {
             .map(|(_, _, _, record)| record)
     }
 
-    /// The study as the `arms_race` binary prints it.
+    /// The study as `experiment arms_race` prints it.
     pub fn render(&self) -> String {
         let mut out = format!(
             "detection arms race: canteen 12:00, {} min per run, \

@@ -172,7 +172,7 @@ impl FaultsOutcome {
             .map(|(_, _, record)| record)
     }
 
-    /// The study as the `faults` binary prints it.
+    /// The study as `experiment faults` prints it.
     pub fn render(&self) -> String {
         let mut out = format!(
             "fault-injection study: canteen 12:00, {} min per run\n\

@@ -18,17 +18,20 @@
 //! * [`sweeps`] — one-dimensional sensitivity sweeps;
 //! * [`warm`] — the warm-start (database carry-over) study;
 //! * [`faults`] — the fault-injection / graceful-degradation study.
-//! * [`arms_race`] — attacker evasion vs the `ch-detect` rogue-AP monitor.
+//! * [`arms_race`] — attacker evasion vs the `ch-detect` rogue-AP monitor;
+//! * [`defense`] — frames-to-detection per generation and live detection.
 
 pub mod ablation;
 pub mod arms_race;
 pub mod campaign;
+pub mod defense;
 pub mod faults;
 pub mod figures;
 pub mod sweeps;
 pub mod tables;
 pub mod warm;
 
+pub use crate::eval::DEFENSE_ROUNDS;
 pub use ablation::{
     ablation, ablation_fleet, ablation_jobs, ablation_with, AblationOutcome, AblationRow,
 };
@@ -40,6 +43,7 @@ pub use campaign::{
     campaign, campaign_fleet, campaign_jobs, campaign_with, CampaignOutcome, HourResult,
     VenueSeries,
 };
+pub use defense::{defense_fleet, defense_live_fleet};
 pub use faults::{
     faults, faults_fleet, faults_jobs, faults_with, profile_fault, FaultJob, FaultsOutcome,
     FaultsRecord, FAULT_ATTACKERS, FAULT_PROFILES,

@@ -191,7 +191,7 @@ pub fn scan_interval_spec(data: &CityData) -> SweepSpec {
     }
 }
 
-/// The full sweep suite, in the `sweep` binary's print order.
+/// The full sweep suite, in `experiment sweep`'s print order.
 pub fn sweep_specs(data: &CityData) -> Vec<SweepSpec> {
     vec![
         lure_budget_spec(),

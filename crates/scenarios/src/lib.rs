@@ -15,6 +15,8 @@
 //! * [`detect`] — runner-side glue for the `ch-detect` rogue-AP monitor:
 //!   the frame tap, legitimate-AP beacon sources, and ground-truth
 //!   scoring behind the arms-race study;
+//! * [`eval`] — the offline round loop that drives one attacker's lures
+//!   into a client-side detector, behind the `defense` study;
 //! * [`report`] — text tables and series formatted like the paper's;
 //! * [`experiments`] — one driver per table and figure (Table I–IV,
 //!   Fig. 1–6) plus the beyond-paper studies, split by artifact family;
@@ -40,6 +42,7 @@
 pub mod city;
 pub mod ctx;
 pub mod detect;
+pub mod eval;
 pub mod experiments;
 pub mod fleet;
 pub mod metrics;

@@ -6,13 +6,12 @@
 //! telemetry policy, and how to expand and render it; [`ExperimentSpec::run`]
 //! executes any non-external entry against prepared [`ch_fleet::FleetOptions`]
 //! and returns the rendered [`Artifact`]. The `ch-bench` `experiment`
-//! binary (and every legacy per-artifact shim) dispatches through this
-//! table; `reproduce_all` iterates it.
+//! binary dispatches through this table; `reproduce_all` iterates it.
 //!
-//! Entries whose implementation needs the detector stack (`ch-defense`)
-//! are marked [`ExperimentSpec::external`]: they are listed here — the
-//! registry stays the single inventory — but executed by the `ch-bench`
-//! driver, which has the extra dependency.
+//! The one entry that must wrap a wall clock around its run (`city`) is
+//! marked [`ExperimentSpec::external`]: it is listed here — the registry
+//! stays the single inventory — but executed by the `ch-bench` driver,
+//! which `ch-lint` lets read the clock.
 
 use ch_fleet::{FleetOptions, FleetStats};
 use ch_sim::SimDuration;
@@ -65,7 +64,7 @@ pub struct RunParams {
 }
 
 impl RunParams {
-    /// The defaults every legacy binary used.
+    /// The defaults of every experiment.
     pub fn new(seed: u64) -> RunParams {
         RunParams {
             seed,
@@ -117,8 +116,8 @@ pub struct ExperimentSpec {
     /// Id of the entry whose campaign (and manifest) this one shares —
     /// `fig6` is a second view of `fig5`'s jobs.
     pub shares_campaign_with: Option<&'static str>,
-    /// Runs in the `ch-bench` driver (needs `ch-defense` or wall-clock
-    /// telemetry); `run` errors.
+    /// Runs in the `ch-bench` driver, which times it with the wall clock
+    /// (`city` only); `run` errors.
     pub external: bool,
 }
 
@@ -362,21 +361,21 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
-        external: true,
+        external: false,
     },
     ExperimentSpec {
         id: "defense_live",
         title: "Defense (live)",
         paper_ref: "beyond",
         output: OutputKind::Study,
-        summary: "detector bank against a live canteen deployment (1 job)",
+        summary: "ch-detect monitor against a live canteen deployment (1 job)",
         campaign: Some("defense-live"),
         default_manifest: None,
         default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
-        external: true,
+        external: false,
     },
     ExperimentSpec {
         id: "city",
@@ -431,13 +430,13 @@ impl ExperimentSpec {
                 format!("seed={}", params.seed),
                 format!("quick={}", params.quick),
             ],
-            "defense" => vec!["rounds=10".to_owned()],
+            "defense" => vec![format!("rounds={}", exp::DEFENSE_ROUNDS)],
             _ => vec![format!("seed={}", params.seed)],
         }
     }
 
     /// Runs the experiment and renders its artifact — exactly the bytes
-    /// the dedicated binary prints to stdout.
+    /// `experiment <id>` prints to stdout.
     ///
     /// # Errors
     ///
@@ -450,9 +449,9 @@ impl ExperimentSpec {
         opts: &FleetOptions,
     ) -> Result<Artifact, String> {
         let seed = params.seed;
-        // A render body printed through the legacy binary's `println!`
-        // gains exactly one trailing newline; the multi-section studies
-        // assemble their full byte stream themselves.
+        // A render body gains exactly one trailing newline, as a
+        // `println!` would add; the multi-section studies assemble their
+        // full byte stream themselves.
         fn line(body: String) -> String {
             format!("{body}\n")
         }
@@ -548,10 +547,18 @@ impl ExperimentSpec {
                 }
                 (text, Some(stats))
             }
+            "defense" => {
+                let (text, stats) = exp::defense_fleet(ctx, opts)?;
+                (text, Some(stats))
+            }
+            "defense_live" => {
+                let (text, stats) = exp::defense_live_fleet(ctx, seed, opts)?;
+                (text, Some(stats))
+            }
             _ => {
                 return Err(format!(
-                    "experiment `{}` is external (detector stack or wall-clock \
-                     telemetry); run it via the ch-bench `experiment` driver",
+                    "experiment `{}` is external (wall-clock telemetry); run it \
+                     via the ch-bench `experiment` driver",
                     self.id
                 ));
             }
@@ -631,15 +638,21 @@ mod tests {
     #[test]
     fn external_entries_refuse_to_run_here() {
         let ctx = CampaignCtx::build(&crate::world::CityData::standard(7));
-        let spec = find("defense").unwrap();
+        let spec = find("city").unwrap();
         let err = spec
             .run(
                 &ctx,
                 &RunParams::new(1),
-                &FleetOptions::in_memory("defense", 0),
+                &FleetOptions::in_memory("city", 0),
             )
             .unwrap_err();
         assert!(err.contains("ch-bench"), "{err}");
+        let external: Vec<&str> = REGISTRY
+            .iter()
+            .filter(|s| s.external)
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(external, vec!["city"]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Golden acceptance for the registry refactor: the spec-driven driver
 //! must reproduce the committed artifacts byte-for-byte at the default
-//! seed, and a newly fleet-engined table-class experiment must render
-//! bit-identically at any worker count.
+//! seed (the paper tables and the two countermeasure studies), and a
+//! newly fleet-engined table-class experiment must render bit-identically
+//! at any worker count.
 
 use std::fs;
 use std::path::PathBuf;
@@ -27,7 +28,7 @@ fn golden(name: &str) -> String {
 
 #[test]
 fn registry_reproduces_the_committed_artifacts_at_the_default_seed() {
-    for id in ["table1", "table2", "fig2"] {
+    for id in ["table1", "table2", "fig2", "defense", "defense_live"] {
         let spec = registry::find(id).expect("registered artifact");
         let params = RunParams::new(1);
         let opts = FleetOptions::in_memory(spec.campaign.unwrap_or(id), 0);

@@ -49,7 +49,6 @@ pub mod rng;
 pub mod space;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use collections::{det_hash_map, det_hash_set, DetHashMap, DetHashSet, FxHasher};
 pub use fault::{CrashMode, FaultPlan, FaultSpec};
@@ -59,4 +58,3 @@ pub use rng::SimRng;
 pub use space::{Position, Rect};
 pub use stats::Summary;
 pub use time::{Cadence, SimDuration, SimTime};
-pub use trace::{NullTrace, TraceEvent, TraceSink, VecTrace};
