@@ -57,18 +57,35 @@ cmp "$smoke_dir/run1.txt" "$smoke_dir/run2.txt"
 test -s "$smoke_dir/BENCH_fleet.json"
 # Scaling gate: with the build-once campaign context and worker-local
 # scratch, the parallel leg must never be slower than serial (hard
-# floor 1.0x; the ≥0.7×N target stays report-only). The engine clamps
+# floor 1.0x; the ≥0.7×N target stays report-only). The smoke campaign
+# above takes a few ms, too short to time on a shared host (and its 8
+# jobs are too uneven to split over two workers), so the gate times the
+# full 48-job campaign (about 1 s serial) in five alternating
+# serial/parallel pairs and gates the median pair. The engine clamps
 # spawned workers at the machine's parallelism, so on a single-core
 # host the --jobs 2 leg runs one worker and there is no scaling to
 # gate — assert the clamp itself instead.
-par_line=$(grep '"jobs":2' "$smoke_dir/BENCH_fleet.json")
-threads=$(echo "$par_line" | grep -o '"threads":[0-9]*' | cut -d: -f2)
-speedup=$(echo "$par_line" | grep -o '"speedup_vs_serial":[0-9.eE+-]*' \
-  | cut -d: -f2)
-test -n "$threads" && test -n "$speedup"
-test "$threads" -le "$(nproc)"
+scale_args=(1 --fresh --bench "$smoke_dir/BENCH_scale.json")
+speedups=()
+for pair in 1 2 3 4 5; do
+  for jobs in 1 2; do
+    cargo run -q --release -p ch-bench --bin experiment -- fig5 "${scale_args[@]}" \
+      --jobs "$jobs" --manifest "$smoke_dir/scale_jobs$jobs.jsonl" \
+      > "$smoke_dir/scale$pair.txt" 2> "$smoke_dir/scale$pair.log"
+    grep -q '48 executed, 0 cached, 0 failed' "$smoke_dir/scale$pair.log"
+    cmp "$smoke_dir/scale$pair.txt" results/fig5.txt
+  done
+  par_line=$(grep '"jobs":2' "$smoke_dir/BENCH_scale.json")
+  threads=$(echo "$par_line" | grep -o '"threads":[0-9]*' | cut -d: -f2)
+  speedup=$(echo "$par_line" | grep -o '"speedup_vs_serial":[0-9.eE+-]*' \
+    | cut -d: -f2)
+  test -n "$threads" && test -n "$speedup"
+  test "$threads" -le "$(nproc)"
+  speedups+=("$speedup")
+done
+speedup=$(printf '%s\n' "${speedups[@]}" | sort -g | sed -n 3p)
 if [ "$threads" -ge 2 ]; then
-  echo "scaling: fig5 --jobs 2 ran ${speedup}x vs serial ($threads workers; gate: >= 1.0)"
+  echo "scaling: fig5 --jobs 2 ran ${speedup}x vs serial, median of pairs ${speedups[*]} ($threads workers; gate: >= 1.0)"
   awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }'
   awk -v s="$speedup" -v n="$threads" 'BEGIN { exit !(s >= 0.7 * n) }' \
     || echo "scaling: below the 0.7xN target (report-only)"

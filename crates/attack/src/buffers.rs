@@ -139,6 +139,34 @@ impl AdaptiveBuffers {
         );
     }
 
+    /// How many entries of each candidate list
+    /// [`select_into`](AdaptiveBuffers::select_into) can read for
+    /// `budget`: truncating both lists to this length leaves its output and
+    /// its RNG draws unchanged, so callers filter only this prefix of the
+    /// ranking instead of the whole database.
+    ///
+    /// With `b = budget.min(total)` and duplicate-free lists, selection
+    /// picks at most `b` ids, and:
+    ///
+    /// * `by_weight`: the PB core is a prefix of at most `b`, its ghost
+    ///   pool the next [`GHOST_LEN`], and the backfill reads each entry
+    ///   only to pick it or skip an id already picked — at most `b` reads
+    ///   in all. So at most `b + GHOST_LEN` entries.
+    /// * `by_freshness`: the FB core takes at most `b` ids, skips at most
+    ///   `b` already picked by the PB, and drops one more when its quota
+    ///   fills; the ghost pool then collects [`GHOST_LEN`] unpicked ids,
+    ///   skipping only ids the PB picked (counted already). So at most
+    ///   `2b + 1 + GHOST_LEN` entries.
+    ///
+    /// The count is loose on purpose. The FB core leaves its two ghost
+    /// slots out, so whenever the FB has a quota, it and the PB together
+    /// pick at most `b - 1` ids, and `b + GHOST_LEN` would do today. The
+    /// slack costs a few dozen filter steps per probe and keeps the bound
+    /// valid if the lane quotas change.
+    pub fn candidate_limit(&self, budget: usize) -> usize {
+        2 * budget.min(self.total) + GHOST_LEN + 1
+    }
+
     /// Selects up to `budget` SSIDs for one client.
     ///
     /// Allocating convenience wrapper around
@@ -539,6 +567,59 @@ mod tests {
                 let (p, f) = b.sizes();
                 prop_assert_eq!(p + f, 40);
                 prop_assert!(p >= MIN_BUFFER && f >= MIN_BUFFER);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Truncating both candidate lists to `candidate_limit(budget)`
+        /// changes nothing: same `(id, lane)` picks, same RNG draws — for
+        /// every budget and every PB/FB split, with the freshness list
+        /// overlapping the weight list.
+        #[test]
+        fn prop_candidate_limit_is_exact(
+            n_weight in 0usize..250,
+            fresh_picks in proptest::collection::vec(0usize..120, 0..160),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut interner = SsidInterner::new();
+            let weight = ssids(&mut interner, "w", n_weight);
+            // Picks below 60 reuse an id from the head of the weight list,
+            // where the PB picks come from, so the FB must skip them; the
+            // rest are fresh-only SSIDs. Both lists stay duplicate-free,
+            // as the database's rankings are.
+            let mut fresh: Vec<SsidId> = Vec::new();
+            for v in fresh_picks {
+                let id = weight
+                    .get(v)
+                    .copied()
+                    .filter(|_| v < 60)
+                    .unwrap_or_else(|| interner.intern(&Ssid::new_lossy(format!("f{v:03}"))));
+                if !fresh.contains(&id) {
+                    fresh.push(id);
+                }
+            }
+            let mut scratch = SelectScratch::new();
+            let (mut full, mut capped) = (Vec::new(), Vec::new());
+            for p in MIN_BUFFER..=40 - MIN_BUFFER {
+                let b = AdaptiveBuffers::new(p, 40 - p, 40, true);
+                for budget in 1..=40 {
+                    let limit = b.candidate_limit(budget);
+                    let mut rng_full = SimRng::seed_from(seed ^ (p * 64 + budget) as u64);
+                    let mut rng_capped = rng_full.clone();
+                    b.select_into(&weight, &fresh, budget, &mut rng_full, &mut scratch, &mut full);
+                    b.select_into(
+                        &weight[..weight.len().min(limit)],
+                        &fresh[..fresh.len().min(limit)],
+                        budget,
+                        &mut rng_capped,
+                        &mut scratch,
+                        &mut capped,
+                    );
+                    prop_assert_eq!(&full, &capped, "p {} budget {}", p, budget);
+                    prop_assert_eq!(rng_full.next_u64(), rng_capped.next_u64());
+                }
             }
         }
     }

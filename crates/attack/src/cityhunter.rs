@@ -259,15 +259,19 @@ impl Attacker for CityHunter {
         out.clear();
 
         // Step 3: build candidate lists, filtered to this client's untried
-        // SSIDs when tracking is on. Everything below runs on interned ids
-        // and warm scratch — no heap traffic at steady state.
+        // SSIDs when tracking is on. Selection reads only a bounded prefix
+        // of each list, so the filter stops there: the work per probe
+        // follows the budget, not the database size. Everything below runs
+        // on interned ids and warm scratch — no heap traffic at steady
+        // state.
         let client = probe.source;
+        let limit = self.buffers.candidate_limit(budget);
         let (ranked, fresh) = self.db.ranked_and_fresh();
         let by_weight: &[SsidId] = if self.config.untried_tracking {
             self.tracker.select_untried_into(
                 client,
                 ranked,
-                ranked.len(),
+                limit,
                 &mut self.scratch.seen,
                 &mut self.scratch.by_weight,
             );
@@ -280,7 +284,7 @@ impl Attacker for CityHunter {
                 self.tracker.select_untried_into(
                     client,
                     fresh,
-                    fresh.len(),
+                    limit,
                     &mut self.scratch.seen,
                     &mut self.scratch.by_freshness,
                 );
@@ -301,10 +305,11 @@ impl Attacker for CityHunter {
             &mut self.scratch.select,
             &mut self.scratch.picked,
         );
+        if self.config.untried_tracking {
+            let ids = self.scratch.picked.iter().map(|&(id, _)| id);
+            self.tracker.mark_all_sent(client, ids);
+        }
         for &(id, lane) in &self.scratch.picked {
-            if self.config.untried_tracking {
-                self.tracker.mark_sent(client, id);
-            }
             let source = self.db.source_of(id).unwrap_or(LureSource::Wigle);
             // resolve() hands back an Arc; the clone is a refcount bump,
             // the sanctioned lure handoff.

@@ -5,19 +5,61 @@
 //! list for each of them." We store the complement — the set already
 //! *sent* per MAC — which is equivalent and much smaller.
 //!
-//! SSIDs are tracked as interned [`SsidId`]s: membership tests hash a u32
-//! instead of a string, and the untried filter dedups through an
+//! SSIDs are tracked as interned [`SsidId`]s: a membership test is one bit
+//! test on the id's dense index, and the untried filter dedups through an
 //! [`EpochSet`] in O(1) per candidate rather than scanning the picked list.
 
 use ch_arc::EpochSet;
-use ch_sim::{DetHashMap, DetHashSet};
+use ch_sim::DetHashMap;
 
 use ch_wifi::{MacAddr, SsidId};
 
 /// Tracks which SSIDs have been sent to which client.
 #[derive(Debug, Clone, Default)]
 pub struct ClientTracker {
-    sent: DetHashMap<MacAddr, DetHashSet<SsidId>>,
+    sent: DetHashMap<MacAddr, SentSet>,
+}
+
+/// The SSIDs sent to one client, one bit per interned id. The untried
+/// filter tests membership for every candidate it walks past, including
+/// every SSID a returning client was already sent, so the test is one bit
+/// on the id's dense index, not a hash lookup.
+#[derive(Debug, Clone, Default)]
+struct SentSet {
+    bits: Vec<u64>,
+    len: usize,
+}
+
+impl SentSet {
+    fn contains(&self, id: SsidId) -> bool {
+        let i = id.index();
+        self.bits
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, id: SsidId) {
+        let i = id.index();
+        if i / 64 >= self.bits.len() {
+            self.bits.resize(i / 64 + 1, 0);
+        }
+        let bit = 1u64 << (i % 64);
+        if let Some(word) = self.bits.get_mut(i / 64) {
+            if *word & bit == 0 {
+                *word |= bit;
+                self.len += 1;
+            }
+        }
+    }
+
+    /// The ids in the set, ascending.
+    fn ids(&self) -> impl Iterator<Item = SsidId> + '_ {
+        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .filter_map(move |b| SsidId::from_index(w * 64 + b))
+        })
+    }
 }
 
 impl ClientTracker {
@@ -33,19 +75,26 @@ impl ClientTracker {
 
     /// How many SSIDs have been sent to `client` so far.
     pub fn sent_count(&self, client: MacAddr) -> usize {
-        self.sent.get(&client).map_or(0, DetHashSet::len)
+        self.sent.get(&client).map_or(0, |set| set.len)
     }
 
     /// `true` if `ssid` was already sent to `client`.
     pub fn was_sent(&self, client: MacAddr, ssid: SsidId) -> bool {
-        self.sent
-            .get(&client)
-            .is_some_and(|set| set.contains(&ssid))
+        self.sent.get(&client).is_some_and(|set| set.contains(ssid))
     }
 
     /// Records that `ssid` has been sent to `client`.
     pub fn mark_sent(&mut self, client: MacAddr, ssid: SsidId) {
-        self.sent.entry(client).or_default().insert(ssid);
+        self.mark_all_sent(client, [ssid]);
+    }
+
+    /// Records that every id in `ssids` has been sent to `client`, with
+    /// one lookup of the client instead of one per id.
+    pub fn mark_all_sent(&mut self, client: MacAddr, ssids: impl IntoIterator<Item = SsidId>) {
+        let set = self.sent.entry(client).or_default();
+        for ssid in ssids {
+            set.insert(ssid);
+        }
     }
 
     /// Filters `candidates` down to those not yet sent to `client`,
@@ -81,7 +130,7 @@ impl ClientTracker {
             if out.len() >= limit {
                 break;
             }
-            let already = sent.is_some_and(|set| set.contains(&ssid));
+            let already = sent.is_some_and(|set| set.contains(ssid));
             if !already && seen.insert(ssid.index()) {
                 out.push(ssid);
             }
@@ -101,11 +150,7 @@ impl ClientTracker {
         let mut entries: Vec<(MacAddr, Vec<SsidId>)> = self
             .sent
             .iter()
-            .map(|(mac, set)| {
-                let mut ids: Vec<SsidId> = set.iter().copied().collect();
-                ids.sort_unstable_by_key(|id| id.index());
-                (*mac, ids)
-            })
+            .map(|(mac, set)| (*mac, set.ids().collect()))
             .collect();
         entries.sort_by_key(|(mac, _)| mac.octets());
         entries
@@ -208,6 +253,27 @@ mod tests {
         t.clear();
         assert_eq!(t.client_count(), 0);
         assert_eq!(t.sent_count(mac(1)), 0);
+    }
+
+    #[test]
+    fn sent_ids_across_words_and_export_order() {
+        // Ids far apart land in different 64-bit words; a repeat counts
+        // once; an id past the client's last word is simply not sent.
+        let mut interner = SsidInterner::new();
+        let pool: Vec<SsidId> = (0..200)
+            .map(|i| intern(&mut interner, &format!("S{i}")))
+            .collect();
+        let mut t = ClientTracker::new();
+        t.mark_all_sent(mac(1), [pool[130], pool[3], pool[70], pool[3]]);
+        assert_eq!(t.sent_count(mac(1)), 3);
+        for (i, &id) in pool.iter().enumerate() {
+            assert_eq!(t.was_sent(mac(1), id), [3, 70, 130].contains(&i), "id {i}");
+        }
+        let export = t.export_sorted();
+        assert_eq!(export, vec![(mac(1), vec![pool[3], pool[70], pool[130]])]);
+        let mut restored = ClientTracker::new();
+        restored.restore(export.clone());
+        assert_eq!(restored.export_sorted(), export);
     }
 
     proptest! {

@@ -11,7 +11,9 @@
 //! strings. [`Ssid`] remains the validated boundary type: it enters via the
 //! seed/observe calls and leaves via [`SsidDatabase::resolve`].
 
-use ch_sim::DetHashMap;
+use std::cmp::Ordering;
+
+use ch_sim::{ch_invariant, DetHashMap};
 
 use ch_sim::SimTime;
 use ch_wifi::{Ssid, SsidId, SsidInterner};
@@ -51,7 +53,9 @@ pub struct DbEntry {
 pub struct SsidDatabase {
     interner: SsidInterner,
     entries: DetHashMap<SsidId, DbEntry>,
-    /// Cached weight-descending order; rebuilt lazily, in place.
+    /// Weight-descending order, kept sorted incrementally by online
+    /// updates; fully re-sorted (lazily, in place) only after seeding or
+    /// restore set `ranked_dirty`.
     ranked: Vec<SsidId>,
     ranked_dirty: bool,
     /// Cached freshness order (most recent hit first); rebuilt lazily.
@@ -149,11 +153,14 @@ impl SsidDatabase {
     /// Records an SSID disclosed by a direct probe: new SSIDs join at
     /// [`DIRECT_PROBE_WEIGHT`]; repeats earn [`DIRECT_REPEAT_BONUS`].
     pub fn observe_direct_probe(&mut self, ssid: &Ssid, now: SimTime) -> SsidId {
-        self.ranked_dirty = true;
         let id = self.interner.intern(ssid);
+        let mut old_weight = None;
         self.entries
             .entry(id)
-            .and_modify(|e| e.weight += DIRECT_REPEAT_BONUS)
+            .and_modify(|e| {
+                old_weight = Some(e.weight);
+                e.weight += DIRECT_REPEAT_BONUS;
+            })
             .or_insert(DbEntry {
                 weight: DIRECT_PROBE_WEIGHT,
                 source: LureSource::DirectProbe,
@@ -161,6 +168,7 @@ impl SsidDatabase {
                 last_hit: None,
                 added_at: now,
             });
+        self.rerank(id, old_weight);
         id
     }
 
@@ -174,33 +182,77 @@ impl SsidDatabase {
     /// [`record_hit`](SsidDatabase::record_hit) by interned id.
     pub fn record_hit_id(&mut self, id: SsidId, now: SimTime) {
         if let Some(e) = self.entries.get_mut(&id) {
+            let old_weight = e.weight;
             e.weight += HIT_WEIGHT_BONUS;
             e.hits += 1;
             e.last_hit = Some(now);
-            self.ranked_dirty = true;
             self.fresh_dirty = true;
+            self.rerank(id, Some(old_weight));
         }
     }
 
-    /// SSID ids in weight-descending order (stable name tie-break). The
-    /// order is cached between mutations and rebuilt in place — no
-    /// allocation once the cache has reached the database size.
+    /// The ranking order over `(weight, id)` keys: weight descending, then
+    /// name ascending. Names are distinct per id, so this is a total order.
+    fn rank_cmp(&self, (wa, a): (f64, SsidId), (wb, b): (f64, SsidId)) -> Ordering {
+        wb.total_cmp(&wa)
+            .then_with(|| self.interner.resolve(a).cmp(self.interner.resolve(b)))
+    }
+
+    /// The current ranking key of `id`.
+    fn key(&self, id: SsidId) -> (f64, SsidId) {
+        let weight = self
+            .entries
+            .get(&id)
+            .map_or(f64::NEG_INFINITY, |e| e.weight);
+        (weight, id)
+    }
+
+    /// Moves `id` to its place in `ranked` after its weight rose from
+    /// `old_weight` (`None`: it just joined the database). Online updates
+    /// only ever raise a weight, so the id only moves toward the head: two
+    /// binary searches and one rotation over the entries it overtakes,
+    /// where a dirty flag would cost the next broadcast probe a full
+    /// re-sort.
+    fn rerank(&mut self, id: SsidId, old_weight: Option<f64>) {
+        if self.ranked_dirty {
+            return; // a full sort is pending anyway
+        }
+        let mut ranked = std::mem::take(&mut self.ranked);
+        let from = match old_weight {
+            // `ranked` still holds `id` where its old weight sorted it.
+            Some(old) => ranked
+                .partition_point(|&x| x != id && self.rank_cmp(self.key(x), (old, id)).is_lt()),
+            None => {
+                ranked.push(id);
+                ranked.len() - 1
+            }
+        };
+        let found = ranked.get(from) == Some(&id);
+        ch_invariant!(found, "ranking cache lost track of an SSID");
+        if found {
+            let new_key = self.key(id);
+            let to =
+                ranked[..from].partition_point(|&x| self.rank_cmp(self.key(x), new_key).is_lt());
+            ranked[to..=from].rotate_right(1);
+        } else {
+            self.ranked_dirty = true;
+        }
+        self.ranked = ranked;
+    }
+
+    /// SSID ids in weight-descending order (stable name tie-break). Online
+    /// updates keep the order current as they happen; only seeding and
+    /// restore leave a full sort, done here in place — no allocation once
+    /// the cache has reached the database size.
     pub fn ranked(&mut self) -> &[SsidId] {
         if self.ranked_dirty {
             let mut order = std::mem::take(&mut self.ranked);
             order.clear();
             order.extend(self.entries.keys().copied());
-            let entries = &self.entries;
-            let interner = &self.interner;
             // Unstable sort (in place, allocation-free); the (weight, name)
             // key is a total order over distinct names, so the result
             // matches the old stable sort byte for byte.
-            order.sort_unstable_by(|a, b| {
-                let wa = entries[a].weight;
-                let wb = entries[b].weight;
-                wb.total_cmp(&wa)
-                    .then_with(|| interner.resolve(*a).cmp(interner.resolve(*b)))
-            });
+            order.sort_unstable_by(|&a, &b| self.rank_cmp(self.key(a), self.key(b)));
             self.ranked = order;
             self.ranked_dirty = false;
         }
@@ -265,6 +317,7 @@ impl SsidDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ssid(s: &str) -> Ssid {
         Ssid::new(s).unwrap()
@@ -379,5 +432,56 @@ mod tests {
         assert!(db.is_empty());
         assert!(db.ranked().is_empty());
         assert!(db.by_freshness().is_empty());
+    }
+
+    /// The ranking `ranked()` must match: every entry, sorted from scratch
+    /// by weight descending, then name ascending.
+    fn sorted_from_scratch(db: &SsidDatabase) -> Vec<SsidId> {
+        let mut all: Vec<(f64, &Ssid)> = db.iter().map(|(s, e)| (e.weight, s)).collect();
+        all.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
+        all.iter().filter_map(|(_, s)| db.id_of(s)).collect()
+    }
+
+    proptest! {
+        /// Any interleaving of seeding, online updates, restores and
+        /// clones leaves `ranked()` equal to a from-scratch sort. Few names
+        /// and a handful of weights (30 + 10 = 40, 30 + 25 = 55) make ties
+        /// and repeats common.
+        #[test]
+        fn prop_incremental_ranking_matches_full_sort(
+            steps in proptest::collection::vec((0u8..7, 0usize..12, 0usize..6), 1..120),
+        ) {
+            const WEIGHTS: [f64; 6] = [1.0, 10.0, 30.0, 40.0, 55.0, 500.0];
+            let mut db = SsidDatabase::new();
+            for (t, (op, name, w)) in steps.into_iter().enumerate() {
+                let ssid = ssid(&format!("S{name:02}"));
+                let now = SimTime::from_secs(t as u64);
+                match op {
+                    0 => {
+                        db.seed_from_wigle(ssid, WEIGHTS[w], now);
+                    }
+                    1 => {
+                        db.seed_carrier(ssid, WEIGHTS[w], now);
+                    }
+                    2 | 3 => {
+                        db.observe_direct_probe(&ssid, now);
+                    }
+                    4 => db.record_hit(&ssid, now),
+                    5 => {
+                        let entry = DbEntry {
+                            weight: WEIGHTS[w],
+                            source: LureSource::Wigle,
+                            hits: 0,
+                            last_hit: None,
+                            added_at: now,
+                        };
+                        db.restore_entry(&ssid, entry);
+                    }
+                    _ => db = db.clone(),
+                }
+                let expected = sorted_from_scratch(&db);
+                prop_assert_eq!(db.ranked(), expected.as_slice(), "after step {}", t);
+            }
+        }
     }
 }

@@ -137,9 +137,10 @@ impl Attacker for PrelimCityHunter {
                 &mut self.seen,
                 &mut self.picked,
             );
+            let ids = self.picked.iter().copied();
+            self.tracker.mark_all_sent(probe.source, ids);
             for &id in &self.picked {
                 let source = self.db.source_of(id).unwrap_or(LureSource::Wigle);
-                self.tracker.mark_sent(probe.source, id);
                 out.push(Lure::new(
                     // ch-lint: allow(hot-path-alloc) — Arc refcount bump.
                     self.db.resolve(id).clone(),

@@ -12,6 +12,17 @@
 //! (MACs, SSIDs, u64 ids) the simulation uses. Iteration order is then a
 //! pure function of the insertion history, which a seeded simulation
 //! replays identically.
+//!
+//! [`FxHasher::finish`] rotates the state before handing it out, as
+//! `rustc-hash` 2.x does. A multiply only carries entropy upward: the low
+//! bits of a Fx product depend only on the low bits of its input. The
+//! table picks a bucket from the *low* bits of the hash, and structured
+//! keys keep their shared part there — a `MacAddr` hashes its three OUI
+//! bytes into the low 24 bits of the word, and every phone of one city
+//! district shares that OUI. Without the rotation all of a district's
+//! clients fall on one probe sequence and each lookup walks the whole
+//! cluster; rotating moves the well-mixed high bits into the bucket
+//! index.
 
 // This module is the sanctioned place that re-binds std's maps with an
 // explicit deterministic hasher.
@@ -107,13 +118,16 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        // The high bits are the well-mixed ones; the table indexes with
+        // the low bits (see the module doc).
+        self.hash.rotate_left(26)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn hashing_is_process_independent() {
@@ -148,6 +162,24 @@ mod tests {
         assert_ne!(digest(b"ab"), digest(b"ba"));
         assert_ne!(digest(b"a"), digest(b"a\0"));
         assert_ne!(digest(b"1234567890"), digest(b"123456789"));
+    }
+
+    #[test]
+    fn shared_prefix_keys_spread_over_low_bits() {
+        // 4,096 six-byte keys that share a 3-byte prefix and count up in
+        // the rest, hashed the way a derived `Hash` on `MacAddr` hashes
+        // them: the MACs of one district's phones. A 4,096-bucket table
+        // indexes with the low 12 bits of `finish()`; without the
+        // finalizer every key lands in the same bucket. A uniform hash
+        // fills about 1 - 1/e = 63 % of them.
+        let mut buckets = det_hash_set_with_capacity(4096);
+        for i in 0..4096u32 {
+            let [_, a, b, c] = i.to_be_bytes();
+            let mut h = FxHasher::default();
+            [0x02u8, 0x1c, 0xb3, a, b, c].hash(&mut h);
+            buckets.insert(h.finish() & 0xfff);
+        }
+        assert!(buckets.len() >= 2300, "{} distinct buckets", buckets.len());
     }
 
     #[test]

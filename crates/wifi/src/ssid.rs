@@ -175,6 +175,13 @@ impl SsidId {
     pub fn as_u32(self) -> u32 {
         self.0
     }
+
+    /// The id at dense index `index`, the inverse of [`SsidId::index`]:
+    /// for side tables that store ids as positions, such as bitsets.
+    /// `None` past `u32::MAX`.
+    pub fn from_index(index: usize) -> Option<SsidId> {
+        u32::try_from(index).ok().map(SsidId)
+    }
 }
 
 impl fmt::Display for SsidId {
