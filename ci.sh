@@ -187,7 +187,7 @@ grep -q '36 executed, 0 cached, 0 failed' "$arms_dir/parallel.log"
 cmp "$arms_dir/serial.txt" "$arms_dir/parallel.txt"
 grep -q 'stealth cost' "$arms_dir/serial.txt"
 
-echo "==> serve chaos smoke (kill -9 mid-stream, recover, byte-identical)"
+echo "==> serve chaos smoke (kill -9 and abort mid-stream, recover, byte-identical)"
 # The crash-safety gate for the ch-serve streaming service: an
 # uninterrupted checkpointed run is the ground truth; a throttled twin is
 # kill -9'ed mid-stream, restarted with the identical command, and must
@@ -221,6 +221,24 @@ grep -q 'recovered warm from checkpoint' "$serve_dir/recover.log"
 cmp "$serve_dir/base.ndjson" "$serve_dir/chaos.ndjson"
 cmp "$serve_dir/base.json" "$serve_dir/chaos.json"
 grep -q '"shed":' "$serve_dir/base.json"
+# The same recovery at a deterministic kill point: abort one event past the
+# third checkpoint (process::abort skips the output buffer's flush, as
+# kill -9 does; no core file is written), restart with the identical
+# command, and require the same bytes.
+abort_cmd=("$serve_bin" "${serve_args[@]}"
+  --out "$serve_dir/abort.ndjson" --report "$serve_dir/abort.json"
+  --checkpoint "$serve_dir/abort.ckpt")
+if (ulimit -c 0; exec "${abort_cmd[@]}" --abort-after-events 193) \
+  2> "$serve_dir/abort.log"; then
+  echo "serve smoke: --abort-after-events 193 exited cleanly"
+  exit 1
+fi
+test -s "$serve_dir/abort.ckpt"
+test ! -e "$serve_dir/abort.json"
+"${abort_cmd[@]}" 2> "$serve_dir/abort-recover.log"
+grep -q 'recovered warm from checkpoint at event 192 ' "$serve_dir/abort-recover.log"
+cmp "$serve_dir/base.ndjson" "$serve_dir/abort.ndjson"
+cmp "$serve_dir/base.json" "$serve_dir/abort.json"
 # The throughput+backpressure bench must produce the versioned artifact
 # and survive its own overload assertions (shed > 0, zero lost events).
 cargo run -q --release -p ch-bench --bin serve_bench -- --quick \

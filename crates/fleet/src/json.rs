@@ -154,31 +154,87 @@ impl Json {
 /// Largest integer exactly representable in an `f64`.
 const MAX_EXACT_INT: f64 = 9.007_199_254_740_992e15;
 
-fn render_number(n: f64, out: &mut String) {
+/// Appends `n` as a JSON number: an integer of magnitude up to 2^53
+/// without a fraction, any other finite value in Rust's shortest
+/// round-trip form (which parses back bit-exact), and a non-finite value
+/// as `null`. Allocation-free beyond `out`'s own growth.
+pub fn render_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // The fleet never produces these; stay valid JSON regardless.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
-        out.push_str(&format!("{}", n as i64));
+        if n < 0.0 {
+            out.push('-');
+        }
+        render_digits(n.abs() as u64, out);
     } else {
-        // Rust's shortest round-trip formatting: parses back bit-exact.
-        out.push_str(&format!("{n}"));
+        use std::fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{n}");
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Two-digit pairs `00`..`99`, so the digit writer emits two per step.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `n` from a stack buffer.
+fn render_digits(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    if let Ok(digits) = std::str::from_utf8(&buf[at..]) {
+        out.push_str(digits);
+    }
+}
+
+/// Appends `s` as a quoted JSON string. `"`, `\\`, newline, carriage
+/// return and tab get their short escapes, other control characters
+/// `\u00XX`; everything else, non-ASCII included, is copied as is. The
+/// characters needing an escape are all ASCII, so the runs between them
+/// are copied whole, and a string with nothing to escape is one copy.
+pub fn render_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(s.get(run..i).unwrap_or_default());
+        run = i + 1;
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(short);
         }
     }
+    out.push_str(s.get(run..).unwrap_or_default());
     out.push('"');
 }
 
@@ -370,6 +426,123 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `format!`-based number writer the allocation-free one replaced,
+    /// kept as its oracle.
+    fn oracle_number(n: f64, out: &mut String) {
+        if !n.is_finite() {
+            out.push_str("null");
+        } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
+            out.push_str(&format!("{}", n as i64));
+        } else {
+            out.push_str(&format!("{n}"));
+        }
+    }
+
+    /// The per-character string writer the run-copying one replaced, kept
+    /// as its oracle.
+    fn oracle_string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn assert_number_matches(n: f64) {
+        let (mut got, mut want) = (String::from("x"), String::from("x"));
+        render_number(n, &mut got);
+        oracle_number(n, &mut want);
+        assert_eq!(got, want, "render_number({n:?}) bits {:#x}", n.to_bits());
+    }
+
+    /// Draws an `f64` from one of several shapes: raw bit patterns (NaN,
+    /// infinities and subnormals included), integers within ±2^53,
+    /// integers past it, fractions, and the edges (±0, ±2^53, ±(2^53+2)).
+    fn shaped_f64(shape: u64, bits: u64) -> f64 {
+        const EXACT: u64 = 1 << 53;
+        let sign: f64 = if bits >> 63 == 1 { -1.0 } else { 1.0 };
+        match shape {
+            0 => f64::from_bits(bits),
+            1 => sign * (bits % (EXACT + 1)) as f64,
+            2 => sign * (bits % 1_000) as f64,
+            3 => sign * (EXACT + (bits % (1 << 40))) as f64,
+            4 => sign * ((bits % (1 << 30)) as f64 + (bits >> 34) as f64 / (1u64 << 30) as f64),
+            _ => [0.0f64, 9.007_199_254_740_992e15, 9.007_199_254_740_994e15][(bits % 3) as usize]
+                .copysign(sign),
+        }
+    }
+
+    /// Builds a string mixing control characters, the escaped ASCII
+    /// characters, printable ASCII and arbitrary non-ASCII characters.
+    fn shaped_string(picks: &[(u64, u64)]) -> String {
+        picks
+            .iter()
+            .map(|&(shape, raw)| match shape {
+                0 => char::from((raw % 0x20) as u8),
+                1 => ['"', '\\', '/', '\u{7f}'][(raw % 4) as usize],
+                2 => char::from((0x20 + raw % 0x5f) as u8),
+                _ => char::from_u32((raw % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_render_number_matches_format_oracle(shape in 0u64..6, bits in any::<u64>()) {
+            assert_number_matches(shaped_f64(shape, bits));
+        }
+
+        #[test]
+        fn prop_render_string_matches_char_oracle(
+            picks in proptest::collection::vec((0u64..4, any::<u64>()), 0..48),
+        ) {
+            let s = shaped_string(&picks);
+            let (mut got, mut want) = (String::from("x"), String::from("x"));
+            render_string(&s, &mut got);
+            oracle_string(&s, &mut want);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn number_edges_match_oracle() {
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            99.0,
+            100.0,
+            12_345.0,
+            9.007_199_254_740_991e15,
+            9.007_199_254_740_992e15,
+            -9.007_199_254_740_992e15,
+            9.007_199_254_740_994e15,
+            1e300,
+            -1e-300,
+            0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ] {
+            assert_number_matches(n);
+        }
+    }
 
     #[test]
     fn scalars_round_trip() {

@@ -9,7 +9,8 @@
 //! Kill it (`kill -9`) at any instant and rerun the identical command:
 //! the service restarts warm from the last committed checkpoint, replays
 //! the remainder of the stream, and the final report and output stream
-//! are byte-identical to an uninterrupted run's. Status and recovery
+//! are byte-identical to an uninterrupted run's. `--abort-after-events N`
+//! kills it the same way at an exact event count. Status and recovery
 //! notes go to stderr; wire output and the report go to the configured
 //! files.
 
@@ -42,6 +43,8 @@ USAGE: ch-serve [FLAGS]
   --ring N             ingest ring capacity                 [64]
   --deadline-us N      per-event latency deadline           [100000]
   --throttle-ms N      wall-clock sleep per event (chaos)   [0]
+  --abort-after-events N  abort the process once N events are acked
+                       (deterministic kill point, as kill -9) [off]
   --help               this text
 ";
 
@@ -61,6 +64,7 @@ struct Options {
     ring: usize,
     deadline_us: u64,
     throttle_ms: u64,
+    abort_after_events: Option<u64>,
 }
 
 impl Options {
@@ -81,6 +85,7 @@ impl Options {
             ring: 64,
             deadline_us: 100_000,
             throttle_ms: 0,
+            abort_after_events: None,
         }
     }
 }
@@ -122,6 +127,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--throttle-ms" => {
                 opts.throttle_ms = parse_num(value("--throttle-ms")?, "--throttle-ms")?;
+            }
+            "--abort-after-events" => {
+                opts.abort_after_events = Some(parse_num(
+                    value("--abort-after-events")?,
+                    "--abort-after-events",
+                )?);
             }
             other => return Err(format!("unknown flag `{other}` (try --help)")),
         }
@@ -215,6 +226,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     config.checkpoint_path = opts.checkpoint.clone();
     config.stats_every = opts.stats_every;
     config.throttle_ms = opts.throttle_ms;
+    config.abort_after_events = opts.abort_after_events;
 
     let summary = serve_to_files(
         &data,

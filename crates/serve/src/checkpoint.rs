@@ -17,6 +17,10 @@
 //! remapped through them (a fresh interner fed the same names in the same
 //! order assigns the same dense ids).
 //!
+//! The service saves through [`render_into`], which streams the object
+//! into a reused buffer; [`to_json`] builds the same object as a tree and
+//! is the reference codec the writer is tested against byte for byte.
+//!
 //! Saves are atomic (stage to `.tmp`, rename); loads distinguish
 //! "no checkpoint" from "unusable checkpoint" so the caller can count a
 //! cold-start fallback instead of silently losing state.
@@ -27,11 +31,14 @@ use ch_attack::{
     buffers::AdaptiveBuffers, Attacker, AttackerSpec, CityHunter, ClientTracker, DbEntry,
     EvasiveAttacker, KarmaAttacker, Lure, ManaAttacker, PrelimCityHunter, SsidDatabase,
 };
+use ch_fleet::json::{render_number, render_string};
 use ch_fleet::Json;
 use ch_sim::SimTime;
 use ch_wifi::{MacAddr, Ssid, SsidId};
 
-use crate::protocol::{lane_name, parse_lane, parse_source, source_name, PROTOCOL_VERSION};
+use crate::protocol::{
+    lane_name, parse_lane, parse_source, render_mac, source_name, PROTOCOL_VERSION,
+};
 use crate::service::Service;
 
 /// Where a restored run resumes.
@@ -539,6 +546,258 @@ pub fn to_json(service: &Service, out_bytes: u64) -> Json {
         ("offered".to_string(), offered_to_json(service)),
         ("attacker".to_string(), attacker),
     ])
+}
+
+// --- streaming writer -----------------------------------------------------
+//
+// `render_into` writes the bytes `to_json(..).render()` would, key for
+// key, straight into a caller's buffer: no tree, and no allocation per
+// value. `to_json` stays as the reference codec the differential tests
+// compare against; both produce one format, which `load`/`restore` read.
+
+/// Appends [`u64_json`]'s rendering of `n`.
+fn put_u64(n: u64, out: &mut String) {
+    if n <= 1 << 53 {
+        render_number(n as f64, out);
+    } else {
+        put_quoted_u64(n, out);
+    }
+}
+
+/// Appends `n` as a quoted decimal string (digits need no escapes).
+fn put_quoted_u64(n: u64, out: &mut String) {
+    use std::fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "\"{n}\"");
+}
+
+/// Appends a JSON array, one `each` call per item.
+fn put_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(T, &mut String) -> Result<(), String>,
+) -> Result<(), String> {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(item, out)?;
+    }
+    out.push(']');
+    Ok(())
+}
+
+fn put_db(db: &SsidDatabase, out: &mut String) -> Result<(), String> {
+    put_list(out, db.interner().names(), |ssid, out| {
+        let id = db
+            .id_of(ssid)
+            .ok_or_else(|| format!("interned ssid `{}` has no db entry", ssid.as_str()))?;
+        let entry = db
+            .entry_by_id(id)
+            .ok_or_else(|| format!("db id for `{}` has no entry", ssid.as_str()))?;
+        out.push('[');
+        render_string(ssid.as_str(), out);
+        out.push(',');
+        render_number(entry.weight, out);
+        out.push(',');
+        render_string(source_name(entry.source), out);
+        out.push(',');
+        render_number(f64::from(entry.hits), out);
+        out.push(',');
+        match entry.last_hit {
+            Some(at) => put_u64(at.as_micros(), out),
+            None => out.push_str("null"),
+        }
+        out.push(',');
+        put_u64(entry.added_at.as_micros(), out);
+        out.push(']');
+        Ok(())
+    })
+}
+
+fn put_ids(ids: &[SsidId], out: &mut String) {
+    out.push('[');
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render_number(id.index() as f64, out);
+    }
+    out.push(']');
+}
+
+fn put_mac_id_pairs(pairs: &[(MacAddr, Vec<SsidId>)], out: &mut String) -> Result<(), String> {
+    put_list(out, pairs, |(mac, ids), out| {
+        out.push('[');
+        render_mac(*mac, out);
+        out.push(',');
+        put_ids(ids, out);
+        out.push(']');
+        Ok(())
+    })
+}
+
+/// Streams [`attacker_to_json`]'s rendering, recursing through
+/// [`EvasiveAttacker`] wrappers.
+fn put_attacker(
+    attacker: &dyn Attacker,
+    spec: &AttackerSpec,
+    out: &mut String,
+) -> Result<(), String> {
+    match spec {
+        AttackerSpec::Karma => {
+            let karma = attacker
+                .as_any()
+                .downcast_ref::<KarmaAttacker>()
+                .ok_or_else(|| downcast_err("karma"))?;
+            out.push_str("{\"kind\":\"karma\",\"mimicked\":");
+            put_list(out, karma.mimicked(), |ssid, out| {
+                render_string(ssid.as_str(), out);
+                Ok(())
+            })?;
+        }
+        AttackerSpec::Mana => {
+            let mana = attacker
+                .as_any()
+                .downcast_ref::<ManaAttacker>()
+                .ok_or_else(|| downcast_err("mana"))?;
+            out.push_str("{\"kind\":\"mana\",\"db\":");
+            put_db(mana.database(), out)?;
+            out.push_str(",\"harvest_order\":");
+            put_ids(mana.harvest_order(), out);
+            out.push_str(",\"per_device\":");
+            put_mac_id_pairs(&mana.per_device_sorted(), out)?;
+        }
+        AttackerSpec::Prelim => {
+            let prelim = attacker
+                .as_any()
+                .downcast_ref::<PrelimCityHunter>()
+                .ok_or_else(|| downcast_err("prelim"))?;
+            out.push_str("{\"kind\":\"prelim\",\"db\":");
+            put_db(prelim.database(), out)?;
+            out.push_str(",\"reply_order\":");
+            put_ids(prelim.reply_order(), out);
+            out.push_str(",\"tracker\":");
+            put_mac_id_pairs(&prelim.tracker().export_sorted(), out)?;
+        }
+        AttackerSpec::CityHunter(_) => {
+            let ch = attacker
+                .as_any()
+                .downcast_ref::<CityHunter>()
+                .ok_or_else(|| downcast_err("cityhunter"))?;
+            let buffers = ch.buffers();
+            let (p, f) = buffers.sizes();
+            out.push_str("{\"kind\":\"cityhunter\",\"db\":");
+            put_db(ch.database(), out)?;
+            out.push_str(",\"buffers\":[");
+            render_number(p as f64, out);
+            out.push(',');
+            render_number(f as f64, out);
+            out.push(',');
+            render_number(buffers.total() as f64, out);
+            out.push_str(if buffers.is_adaptive() {
+                ",true]"
+            } else {
+                ",false]"
+            });
+            out.push_str(",\"tracker\":");
+            put_mac_id_pairs(&ch.tracker().export_sorted(), out)?;
+            out.push_str(",\"rng\":");
+            put_list(out, ch.rng_state(), |word, out| {
+                put_u64(word, out);
+                Ok(())
+            })?;
+            out.push_str(",\"restarts\":");
+            render_number(f64::from(ch.restarts()), out);
+        }
+        AttackerSpec::Evasive { base, .. } => {
+            let evasive = attacker
+                .as_any()
+                .downcast_ref::<EvasiveAttacker>()
+                .ok_or_else(|| downcast_err("evasive"))?;
+            let (slot, bssid, window, sent, next_us, period_us) = evasive.export_state();
+            out.push_str("{\"kind\":\"evasive\",\"state\":[");
+            put_u64(slot, out);
+            out.push(',');
+            render_mac(bssid, out);
+            out.push(',');
+            put_u64(window, out);
+            out.push(',');
+            render_number(f64::from(sent), out);
+            out.push(',');
+            put_u64(next_us, out);
+            out.push(',');
+            put_u64(period_us, out);
+            out.push_str("],\"inner\":");
+            put_attacker(evasive.inner(), base, out)?;
+        }
+    }
+    out.push('}');
+    Ok(())
+}
+
+/// Streams [`offered_to_json`]'s rendering.
+fn put_offered(service: &Service, out: &mut String) -> Result<(), String> {
+    let mut pairs: Vec<(&MacAddr, &Vec<Lure>)> = service.offered.iter().collect();
+    pairs.sort_unstable_by_key(|(mac, _)| mac.octets());
+    put_list(out, pairs, |(mac, burst), out| {
+        out.push('[');
+        render_mac(*mac, out);
+        out.push(',');
+        put_list(out, burst, |lure, out| {
+            out.push('[');
+            render_string(lure.ssid.as_str(), out);
+            out.push(',');
+            render_string(source_name(lure.source), out);
+            out.push(',');
+            render_string(lane_name(lure.lane), out);
+            out.push(']');
+            Ok(())
+        })?;
+        out.push(']');
+        Ok(())
+    })
+}
+
+/// Appends the full checkpoint for `service`, with `out_bytes` output
+/// bytes committed, to `out`: the same bytes as
+/// `to_json(service, out_bytes).render()`, written without the tree.
+///
+/// # Errors
+///
+/// A rendered reason when the live attacker does not match the
+/// configured spec or its database is inconsistent; `out` then holds a
+/// partial rendering the caller must not save.
+pub fn render_into(service: &Service, out_bytes: u64, out: &mut String) -> Result<(), String> {
+    out.push_str("{\"v\":");
+    render_string(PROTOCOL_VERSION, out);
+    out.push_str(",\"kind\":\"checkpoint\",\"fingerprint\":");
+    put_quoted_u64(service.fingerprint, out);
+    out.push_str(",\"acked\":");
+    render_number(service.acked() as f64, out);
+    out.push_str(",\"out_bytes\":");
+    put_u64(out_bytes, out);
+    out.push_str(",\"clock_us\":");
+    put_u64(service.clock_us, out);
+    out.push_str(",\"stats\":");
+    service.stats.render_into(out);
+    out.push_str(",\"hist\":");
+    put_list(out, &service.hist, |&n, out| {
+        put_u64(n, out);
+        Ok(())
+    })?;
+    out.push_str(",\"inflight\":");
+    put_list(out, &service.inflight, |&t, out| {
+        put_u64(t, out);
+        Ok(())
+    })?;
+    out.push_str(",\"offered\":");
+    put_offered(service, out)?;
+    out.push_str(",\"attacker\":");
+    put_attacker(service.attacker.as_ref(), &service.config.spec, out)?;
+    out.push('}');
+    Ok(())
 }
 
 /// Loads a checkpoint file.

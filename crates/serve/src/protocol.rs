@@ -15,6 +15,7 @@
 use std::fmt;
 
 use ch_attack::{LureLane, LureSource};
+use ch_fleet::json::{render_number, render_string};
 use ch_fleet::Json;
 use ch_wifi::{MacAddr, Ssid};
 
@@ -188,6 +189,21 @@ impl ServiceStats {
         )
     }
 
+    /// Appends [`ServiceStats::to_json`]'s rendering to `out` without
+    /// building the tree.
+    pub fn render_into(&self, out: &mut String) {
+        out.push('{');
+        for (i, &name) in STATS_FIELDS.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            render_string(name, out);
+            out.push(':');
+            render_number(self.field(name) as f64, out);
+        }
+        out.push('}');
+    }
+
     /// Rebuilds the counters from [`ServiceStats::to_json`] output.
     ///
     /// # Errors
@@ -344,46 +360,76 @@ pub fn encode_input(event: &InputEvent) -> String {
 
 /// Encodes one output event as a wire line (no trailing newline).
 pub fn encode_output(event: &OutputEvent) -> String {
+    let mut line = String::new();
+    encode_output_into(event, &mut line);
+    line
+}
+
+/// Appends one output event's wire line (no trailing newline) to `out`,
+/// field by field, with no intermediate [`Json`] tree. Same bytes as
+/// rendering the event's object through [`Json::render`]: numbers and
+/// strings go through the same `ch_fleet::json` writers.
+pub fn encode_output_into(event: &OutputEvent, out: &mut String) {
+    let (ev, t_us) = match event {
+        OutputEvent::Lure { t_us, .. } => ("lure", t_us),
+        OutputEvent::Beacon { t_us, .. } => ("beacon", t_us),
+        OutputEvent::Stats { t_us, .. } => ("stats", t_us),
+        OutputEvent::Checkpoint { t_us, .. } => ("checkpoint", t_us),
+    };
+    out.push_str("{\"v\":");
+    render_string(PROTOCOL_VERSION, out);
+    out.push_str(",\"ev\":");
+    render_string(ev, out);
+    out.push_str(",\"t_us\":");
+    render_number(*t_us as f64, out);
     match event {
         OutputEvent::Lure {
-            t_us,
             client,
             ssid,
             source,
             lane,
-        } => obj(vec![
-            ("v", Json::str(PROTOCOL_VERSION)),
-            ("ev", Json::str("lure")),
-            ("t_us", Json::from_u64(*t_us)),
-            ("client", Json::str(client.to_string())),
-            ("ssid", Json::str(ssid.as_str())),
-            ("source", Json::str(source_name(*source))),
-            ("lane", Json::str(lane_name(*lane))),
-        ])
-        .render(),
-        OutputEvent::Beacon { t_us, bssid, ssid } => obj(vec![
-            ("v", Json::str(PROTOCOL_VERSION)),
-            ("ev", Json::str("beacon")),
-            ("t_us", Json::from_u64(*t_us)),
-            ("bssid", Json::str(bssid.to_string())),
-            ("ssid", Json::str(ssid.as_str())),
-        ])
-        .render(),
-        OutputEvent::Stats { t_us, stats } => obj(vec![
-            ("v", Json::str(PROTOCOL_VERSION)),
-            ("ev", Json::str("stats")),
-            ("t_us", Json::from_u64(*t_us)),
-            ("stats", stats.to_json()),
-        ])
-        .render(),
-        OutputEvent::Checkpoint { t_us, acked } => obj(vec![
-            ("v", Json::str(PROTOCOL_VERSION)),
-            ("ev", Json::str("checkpoint")),
-            ("t_us", Json::from_u64(*t_us)),
-            ("acked", Json::from_u64(*acked)),
-        ])
-        .render(),
+            ..
+        } => {
+            out.push_str(",\"client\":");
+            render_mac(*client, out);
+            out.push_str(",\"ssid\":");
+            render_string(ssid.as_str(), out);
+            out.push_str(",\"source\":");
+            render_string(source_name(*source), out);
+            out.push_str(",\"lane\":");
+            render_string(lane_name(*lane), out);
+        }
+        OutputEvent::Beacon { bssid, ssid, .. } => {
+            out.push_str(",\"bssid\":");
+            render_mac(*bssid, out);
+            out.push_str(",\"ssid\":");
+            render_string(ssid.as_str(), out);
+        }
+        OutputEvent::Stats { stats, .. } => {
+            out.push_str(",\"stats\":");
+            stats.render_into(out);
+        }
+        OutputEvent::Checkpoint { acked, .. } => {
+            out.push_str(",\"acked\":");
+            render_number(*acked as f64, out);
+        }
     }
+    out.push('}');
+}
+
+/// Appends `mac` as a quoted JSON string in its `Display` form
+/// (`aa:bb:cc:dd:ee:ff`), which needs no escapes.
+pub(crate) fn render_mac(mac: MacAddr, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    for (i, octet) in mac.octets().into_iter().enumerate() {
+        if i > 0 {
+            out.push(':');
+        }
+        out.push(char::from(HEX[usize::from(octet >> 4)]));
+        out.push(char::from(HEX[usize::from(octet & 0xf)]));
+    }
+    out.push('"');
 }
 
 fn checked_envelope(line: &str) -> Result<(Json, String), ProtocolError> {
@@ -538,6 +584,96 @@ mod tests {
             malformed: 9,
         };
         assert_eq!(ServiceStats::from_json(&stats.to_json()).unwrap(), stats);
+    }
+
+    /// The `Json`-tree rendering the streaming encoder replaced: the
+    /// oracle [`encode_output`] must match byte for byte.
+    fn tree_output(event: &OutputEvent) -> String {
+        let mut fields = vec![("v", Json::str(PROTOCOL_VERSION))];
+        match event {
+            OutputEvent::Lure {
+                t_us,
+                client,
+                ssid,
+                source,
+                lane,
+            } => fields.extend([
+                ("ev", Json::str("lure")),
+                ("t_us", Json::from_u64(*t_us)),
+                ("client", Json::str(client.to_string())),
+                ("ssid", Json::str(ssid.as_str())),
+                ("source", Json::str(source_name(*source))),
+                ("lane", Json::str(lane_name(*lane))),
+            ]),
+            OutputEvent::Beacon { t_us, bssid, ssid } => fields.extend([
+                ("ev", Json::str("beacon")),
+                ("t_us", Json::from_u64(*t_us)),
+                ("bssid", Json::str(bssid.to_string())),
+                ("ssid", Json::str(ssid.as_str())),
+            ]),
+            OutputEvent::Stats { t_us, stats } => fields.extend([
+                ("ev", Json::str("stats")),
+                ("t_us", Json::from_u64(*t_us)),
+                ("stats", stats.to_json()),
+            ]),
+            OutputEvent::Checkpoint { t_us, acked } => fields.extend([
+                ("ev", Json::str("checkpoint")),
+                ("t_us", Json::from_u64(*t_us)),
+                ("acked", Json::from_u64(*acked)),
+            ]),
+        }
+        obj(fields).render()
+    }
+
+    #[test]
+    fn encode_output_matches_tree_oracle() {
+        let stats = ServiceStats {
+            events: 1 << 53,
+            probes: (1 << 53) + 1,
+            lures: u64::MAX,
+            hits: 7,
+            ..ServiceStats::default()
+        };
+        let ssids = [
+            "plain",
+            "",
+            "quote\" back\\slash",
+            "ctl\u{1}\u{1f}\n\t",
+            "漢字 é",
+        ];
+        let macs = [mac(1), MacAddr::new([0xff, 0xab, 0x0c, 0x90, 0x0a, 0xf0])];
+        for t_us in [0, 1, 999, 1 << 53, (1 << 53) + 1, (1 << 53) + 3, u64::MAX] {
+            let mut events = vec![
+                OutputEvent::Stats { t_us, stats },
+                OutputEvent::Checkpoint { t_us, acked: t_us },
+            ];
+            for (i, text) in ssids.iter().enumerate() {
+                let ssid = Ssid::new(*text).unwrap();
+                events.push(OutputEvent::Lure {
+                    t_us,
+                    client: macs[i % 2],
+                    ssid: ssid.clone(),
+                    source: [
+                        LureSource::Wigle,
+                        LureSource::DirectProbe,
+                        LureSource::Carrier,
+                    ][i % 3],
+                    lane: LureLane::FreshnessGhost,
+                });
+                events.push(OutputEvent::Beacon {
+                    t_us,
+                    bssid: macs[(i + 1) % 2],
+                    ssid,
+                });
+            }
+            for event in &events {
+                let want = tree_output(event);
+                assert_eq!(encode_output(event), want);
+                let mut appended = String::from("kept|");
+                encode_output_into(event, &mut appended);
+                assert_eq!(appended, format!("kept|{want}"));
+            }
+        }
     }
 
     #[test]

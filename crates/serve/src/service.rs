@@ -19,7 +19,8 @@
 //! gate) live only in [`serve_to_files`].
 
 use std::collections::VecDeque;
-use std::io::{Seek, Write};
+use std::fs::File;
+use std::io::{BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
 
 use ch_attack::{Attacker, AttackerSpec, Lure};
@@ -31,7 +32,9 @@ use ch_wifi::MacAddr;
 
 use ch_scenarios::CityData;
 
-use crate::protocol::{encode_output, InputEvent, OutputEvent, ServiceStats, PROTOCOL_VERSION};
+use crate::protocol::{
+    encode_output_into, InputEvent, OutputEvent, ServiceStats, PROTOCOL_VERSION,
+};
 use crate::source::EventSource;
 
 /// Virtual cost charged per probe event before lures, microseconds.
@@ -69,6 +72,11 @@ pub struct ServeConfig {
     /// Wall-clock sleep per event, milliseconds — slows the loop so the
     /// chaos gate can `kill -9` it mid-stream. Never affects results.
     pub throttle_ms: u64,
+    /// Deterministic kill point: abort the process once this many input
+    /// events are acked (after that event's lines and checkpoint, if
+    /// any). `process::abort` skips the output buffer's flush, exactly as
+    /// `kill -9` would. `None` (the default) never aborts.
+    pub abort_after_events: Option<u64>,
     /// Retry policy for service file operations (checkpoint/output/report
     /// writes); transient failures back off on the deterministic
     /// [`RetryPolicy::backoff_ms`] schedule.
@@ -92,6 +100,7 @@ impl ServeConfig {
             checkpoint_path: None,
             stats_every: 0,
             throttle_ms: 0,
+            abort_after_events: None,
             io_retry: RetryPolicy::retries(3).with_backoff(10, 1_000),
         }
     }
@@ -421,6 +430,67 @@ pub(crate) fn atomic_write(
     })
 }
 
+/// Writes all of `bytes` to `out` under the retry policy. Progress
+/// survives a transient failure: the retry resumes after the last byte
+/// `out` accepted, so no byte is written twice, whatever the writer.
+fn write_retried(
+    policy: &RetryPolicy,
+    seed: u64,
+    out: &mut impl Write,
+    bytes: &[u8],
+) -> Result<(), String> {
+    let mut done = 0;
+    retry_io(policy, seed, "out-write", || {
+        while let Some(rest) = bytes.get(done..).filter(|rest| !rest.is_empty()) {
+            match out.write(rest)? {
+                0 => return Err(std::io::ErrorKind::WriteZero.into()),
+                n => done += n,
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Capacity of the output file's buffer: lines reach the file in
+/// writes of about this many bytes.
+const OUT_BUFFER_BYTES: usize = 1 << 16;
+
+/// The wire output stream: the buffered file (if any), the bytes handed
+/// to it so far, and the line buffer every event is encoded into.
+struct WireOut<W> {
+    file: Option<W>,
+    bytes: u64,
+    line: String,
+}
+
+impl<W: Write> WireOut<W> {
+    /// Encodes `event` as one wire line and writes it. Without an output
+    /// file this does nothing and `bytes` stays put.
+    fn emit(&mut self, policy: &RetryPolicy, seed: u64, event: &OutputEvent) -> Result<(), String> {
+        let Some(file) = &mut self.file else {
+            return Ok(());
+        };
+        self.line.clear();
+        encode_output_into(event, &mut self.line);
+        self.line.push('\n');
+        write_retried(policy, seed, file, self.line.as_bytes())?;
+        self.bytes += self.line.len() as u64;
+        Ok(())
+    }
+}
+
+impl WireOut<BufWriter<File>> {
+    /// Flushes the buffer, then syncs the file's data: afterwards all
+    /// `bytes` are durable.
+    fn sync(&mut self, policy: &RetryPolicy, seed: u64, key: &str) -> Result<(), String> {
+        if let Some(file) = &mut self.file {
+            retry_io(policy, seed, key, || file.flush())?;
+            retry_io(policy, seed, key, || file.get_ref().sync_data())?;
+        }
+        Ok(())
+    }
+}
+
 /// Runs the full file-backed serve loop: recover-or-cold-start, process
 /// the stream, write wire output, checkpoint periodically, and commit the
 /// final report atomically.
@@ -482,7 +552,7 @@ pub fn serve_to_files(
 
     let seed = config.seed;
     let policy = config.io_retry;
-    let mut out = match out_path {
+    let file = match out_path {
         Some(path) => {
             let mut file = if recovered {
                 // Truncate back to the acked prefix, then append: bytes
@@ -497,34 +567,27 @@ pub fn serve_to_files(
                 file
             } else {
                 out_bytes = 0;
-                retry_io(&policy, seed, "out-create", || std::fs::File::create(path))?
+                retry_io(&policy, seed, "out-create", || File::create(path))?
             };
             retry_io(&policy, seed, "out-seek", || {
                 file.seek(std::io::SeekFrom::End(0))
             })?;
-            Some(file)
+            Some(BufWriter::with_capacity(OUT_BUFFER_BYTES, file))
         }
         None => None,
     };
+    let mut wire = WireOut {
+        file,
+        bytes: out_bytes,
+        line: String::new(),
+    };
 
     let mut emit: Vec<OutputEvent> = Vec::new();
-    let mut line_buf = String::new();
+    let mut checkpoint_buf = String::new();
     let total = source.len() as u64;
     // Malformed source records are part of the stream identity; set, not
     // added, so recovery does not double-count.
     service.stats.malformed = source.malformed;
-
-    let write_line =
-        |out: &mut Option<std::fs::File>, out_bytes: &mut u64, line: &str| -> Result<(), String> {
-            if let Some(file) = out {
-                retry_io(&policy, seed, "out-write", || {
-                    file.write_all(line.as_bytes())?;
-                    file.write_all(b"\n")
-                })?;
-                *out_bytes += line.len() as u64 + 1;
-            }
-            Ok(())
-        };
 
     for index in resumed_at..total {
         let Some(event) = source.events().get(index as usize) else {
@@ -535,17 +598,15 @@ pub fn serve_to_files(
         }
         service.process(event, &mut emit);
         for output in &emit {
-            line_buf.clear();
-            line_buf.push_str(&encode_output(output));
-            write_line(&mut out, &mut out_bytes, &line_buf)?;
+            wire.emit(&policy, seed, output)?;
         }
         let acked = service.acked();
         if config.stats_every > 0 && acked.is_multiple_of(config.stats_every) {
-            let line = encode_output(&OutputEvent::Stats {
+            let stats = OutputEvent::Stats {
                 t_us: service.clock_us(),
                 stats: *service.stats(),
-            });
-            write_line(&mut out, &mut out_bytes, &line)?;
+            };
+            wire.emit(&policy, seed, &stats)?;
         }
         if config.checkpoint_every > 0 && acked.is_multiple_of(config.checkpoint_every) {
             if let Some(cp_path) = &config.checkpoint_path {
@@ -554,23 +615,28 @@ pub fn serve_to_files(
                 // recovered continuation then matches the uninterrupted
                 // run line for line.
                 service.stats.checkpoints += 1;
-                let line = encode_output(&OutputEvent::Checkpoint {
+                let mark = OutputEvent::Checkpoint {
                     t_us: service.clock_us(),
                     acked,
-                });
-                write_line(&mut out, &mut out_bytes, &line)?;
-                if let Some(file) = &mut out {
-                    retry_io(&policy, seed, "out-flush", || file.sync_data())?;
-                }
-                let rendered = crate::checkpoint::to_json(&service, out_bytes).render();
-                atomic_write(&policy, seed, "checkpoint-write", cp_path, &rendered)?;
+                };
+                wire.emit(&policy, seed, &mark)?;
+                // Durability order: the buffered lines reach the file and
+                // the disk before the checkpoint that counts them is
+                // renamed into place, so a checkpoint's `out_bytes` is
+                // never ahead of the durable output.
+                wire.sync(&policy, seed, "out-flush")?;
+                checkpoint_buf.clear();
+                crate::checkpoint::render_into(&service, wire.bytes, &mut checkpoint_buf)
+                    .map_err(|reason| format!("checkpoint render: {reason}"))?;
+                atomic_write(&policy, seed, "checkpoint-write", cp_path, &checkpoint_buf)?;
             }
+        }
+        if config.abort_after_events == Some(acked) {
+            std::process::abort();
         }
     }
 
-    if let Some(file) = &mut out {
-        retry_io(&policy, seed, "out-final-flush", || file.sync_data())?;
-    }
+    wire.sync(&policy, seed, "out-final-flush")?;
     let report = service.report();
     if let Some(path) = report_path {
         let mut rendered = report.render();
@@ -585,4 +651,108 @@ pub fn serve_to_files(
         cold_fallback,
         resumed_at,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ch_wifi::Ssid;
+
+    /// A writer that takes at most `chunk` bytes per call, stops short at
+    /// `fail_at` bytes, and fails the next call once with `TimedOut`.
+    #[derive(Debug)]
+    struct FlakySink {
+        data: Vec<u8>,
+        chunk: usize,
+        fail_at: usize,
+        failed: bool,
+    }
+
+    impl Write for FlakySink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut n = buf.len().min(self.chunk);
+            if !self.failed {
+                if self.data.len() >= self.fail_at {
+                    self.failed = true;
+                    return Err(std::io::ErrorKind::TimedOut.into());
+                }
+                n = n.min(self.fail_at - self.data.len());
+            }
+            self.data.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn transient_failure_mid_line_writes_the_line_once() {
+        let policy = RetryPolicy::retries(3).with_backoff(0, 0);
+        let lure = OutputEvent::Lure {
+            t_us: 1_234,
+            client: MacAddr::new([2, 0, 0, 0, 0, 9]),
+            ssid: Ssid::new("Airport Free WiFi").unwrap(),
+            source: ch_attack::LureSource::Wigle,
+            lane: ch_attack::LureLane::Popularity,
+        };
+        let line = format!("{}\n", crate::protocol::encode_output(&lure));
+        // Fail inside the line, at its last byte (the newline's write) and
+        // right after it: every case must hold the line exactly once.
+        for fail_at in [1, 10, line.len() - 1, line.len()] {
+            let sink = FlakySink {
+                data: Vec::new(),
+                chunk: 7,
+                fail_at,
+                failed: false,
+            };
+            let mut wire = WireOut {
+                file: Some(sink),
+                bytes: 0,
+                line: String::new(),
+            };
+            wire.emit(&policy, 1, &lure).unwrap();
+            let sink = wire.file.unwrap();
+            assert_eq!(
+                String::from_utf8(sink.data.clone()).unwrap(),
+                line,
+                "fail_at {fail_at}"
+            );
+            assert_eq!(wire.bytes, line.len() as u64, "fail_at {fail_at}");
+            assert_eq!(sink.failed, fail_at < line.len(), "fail_at {fail_at}");
+        }
+    }
+
+    #[test]
+    fn transient_failure_in_a_buffer_flush_loses_and_repeats_nothing() {
+        let policy = RetryPolicy::retries(3).with_backoff(0, 0);
+        let sink = FlakySink {
+            data: Vec::new(),
+            chunk: 5,
+            fail_at: 23,
+            failed: false,
+        };
+        let mut wire = WireOut {
+            file: Some(BufWriter::with_capacity(64, sink)),
+            bytes: 0,
+            line: String::new(),
+        };
+        let mut expected = String::new();
+        for acked in 0..20 {
+            let mark = OutputEvent::Checkpoint {
+                t_us: acked * 7,
+                acked,
+            };
+            wire.emit(&policy, 1, &mark).unwrap();
+            expected.push_str(&crate::protocol::encode_output(&mark));
+            expected.push('\n');
+        }
+        let mut file = wire.file.unwrap();
+        retry_io(&policy, 1, "flush", || file.flush()).unwrap();
+        let sink = file.into_inner().unwrap();
+        assert!(sink.failed);
+        assert_eq!(String::from_utf8(sink.data).unwrap(), expected);
+        assert_eq!(wire.bytes, expected.len() as u64);
+    }
 }
